@@ -15,8 +15,9 @@
 #   make shard-smoke      sharding suite on the process/async backends + smoke bench
 #   make failover-smoke   worker-kill recovery suite + fuzzed live-resharding pass
 #   make serve-smoke      gateway suite on the process and hybrid backends, a CLI
-#                         load run with its oracles, and a smoke serve_latency
-#                         artifact
+#                         load run with its oracles, a smoke serve_latency
+#                         artifact, and the gateway benchmark's self-tests plus
+#                         one short correctness run of it
 
 PYTHON ?= python
 
@@ -89,14 +90,19 @@ failover-smoke:
 
 # the HTTP gateway end to end (mirrors CI serve-smoke): the serve suite under
 # both multi-core dispatch modes (process = executor, process+async = native
-# coroutine connections), one CLI load run whose oracles must pass, and a
-# smoke-sized serve_latency measurement
+# coroutine connections), one CLI load run whose oracles must pass, a
+# smoke-sized serve_latency measurement, the gateway benchmark's self-tests,
+# and a short benchmark run that exits non-zero if FIFO matching,
+# read-your-writes or the lossless check fails
 serve-smoke:
 	REPRO_BACKEND=process $(PYTHON) -m pytest -q tests/test_serve.py
 	REPRO_BACKEND=process+async $(PYTHON) -m pytest -q tests/test_serve.py
 	$(PYTHON) -m repro --backend process+async serve --port 0 --shards 2 \
 		--load --rate 150 --duration 1 --cases 16
 	$(PYTHON) benchmarks/bench_serve.py --smoke --out BENCH_serve_smoke.json
+	$(PYTHON) -m pytest gatewaybench -q
+	$(PYTHON) gatewaybench/run.py --workload write_cold_hybrid --seed 1 \
+		--seconds 6 --trace 0
 
 # bank-transfers must stay clean on every schedule; the philosophers hunt is
 # *expected* to find its seeded deadlock (exit 1 = "problem found") and the

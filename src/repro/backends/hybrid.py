@@ -145,17 +145,22 @@ class AsyncProcessPrivateQueue(ProcessPrivateQueue):
     async def invoke_async(self, handle: Any, feature: Optional[str], args: tuple,
                            kwargs: dict, fn: Optional[Callable[..., Any]] = None) -> Any:
         """Awaitable twin of the blocking queue's ``invoke``."""
-        payload: Dict[str, Any] = {"kind": "invoke", "oid": self._oid_of(handle),
-                                   "args": list(args), "kwargs": kwargs or {}}
-        if feature:
-            payload["feature"] = feature
-        else:
-            self._require_pickle("ship a callable query body")
-            payload["fn"] = fn
-        self._send(payload)
+        return await self.issue_invoke(handle, feature, args, kwargs, fn)
+
+    def issue_invoke(self, handle: Any, feature: Optional[str], args: tuple, kwargs: dict,
+                     fn: Optional[Callable[..., Any]] = None) -> "asyncio.Future[Any]":
+        """Feed and flush the ``invoke``; the token is the future its reply resolves."""
+        super().issue_invoke(handle, feature, args, kwargs, fn)
         fut = asyncio.get_running_loop().create_future()
         self._waiting.append(("invoke", fut))
-        return await fut
+        return fut
+
+    async def wait_invoke_async(self, token: "asyncio.Future[Any]") -> Any:
+        return await token
+
+    def abandon_invoke(self, token: "asyncio.Future[Any]") -> None:
+        # the reader still pops the continuation in order, and skips it
+        token.cancel()
 
     # -- reply delivery (runs on the owning loop, from the reader task) ------
     def _deliver(self, reply: Dict[str, Any]) -> None:
@@ -250,21 +255,21 @@ class AsyncProcessPrivateQueue(ProcessPrivateQueue):
             self._fail_waiting(exc)
             return
         # ---- synchronous section: no awaits until the stream is swapped ----
-        in_flight = self._ticket is not None and not self.closed_by_client
+        frames = backend.journal_for(self.handler.name, self._ticket)
         stream = AsyncFrameStream(backend.codec)
         stream.send({"kind": "hello", "handler": self.handler.name,
                      "token": backend.token, "client": self.client_name})
-        if in_flight:
+        if frames is not None:
             stream.send({"kind": "open", "ticket": self._ticket, "block": self.block_id})
-            for frame in backend.journal_for(self.handler.name, self._ticket):
+            for frame in frames:
                 stream.send(frame)
             self._pending_ticket = None
             # every reply this block already consumed is regenerated by the
             # replay; replies pending on the dead stream died with it
             self._stale_replies = self._replies_seen
         else:
-            # between blocks (or after end): ended blocks were pre-filed by
-            # worker_failed's restore, so reconnect with a clean slate
+            # the block was pre-filed by worker_failed's restore (it had
+            # ended), so reconnect with a clean slate
             self._stale_replies = 0
         self._stream = stream
         loop.create_task(self._reader(stream, self.worker.data_addr),

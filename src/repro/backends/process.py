@@ -215,6 +215,10 @@ class ProcessPrivateQueue:
     demultiplexer.
     """
 
+    #: a client-executed query body crosses the socket as an ``invoke``
+    #: frame, so the client folds the query's sync into it (one round trip)
+    ships_query_bodies = True
+
     def __init__(self, backend: "ProcessBackend", handler: Any,
                  worker: _WorkerProcess, counters: Any) -> None:
         self.backend = backend
@@ -356,18 +360,20 @@ class ProcessPrivateQueue:
                     self._stream.close()
                     self._stream = None
                 stream = self._connect()
-                if self._ticket is not None:
+                frames = self.backend.journal_for(self.handler.name, self._ticket)
+                if frames is not None:
                     stream.send({"kind": "open", "ticket": self._ticket,
                                  "block": self.block_id})
-                for frame in self.backend.journal_for(self.handler.name, self._ticket):
-                    stream.send(frame)
+                    for frame in frames:
+                        stream.send(frame)
                 # the replay itself is fire-and-forget: make sure it did not
                 # just vanish into a replacement that died mid-replay
                 self._check_delivery(stream, 1)
                 self._pending_ticket = None
-                # every reply this block already consumed comes again; replies
-                # pending on the discarded stream died with it (hence =, not +=)
-                self._stale_replies = self._replies_seen
+                # every reply this block already consumed comes again — unless
+                # the restore pre-filed the block, whose replies go nowhere;
+                # replies pending on the discarded stream died with it
+                self._stale_replies = self._replies_seen if frames is not None else 0
                 return
             except (OSError, SocketQueueClosed, ScoopError) as exc:
                 last_error = exc
@@ -396,6 +402,16 @@ class ProcessPrivateQueue:
         request.fire()
         return request
 
+    def fold_sync(self) -> None:
+        """Count a query's sync that travels with the body's ``invoke`` frame.
+
+        Same accounting as :meth:`enqueue_sync`, but no frame and no wait:
+        the FIFO drain runs the ``invoke`` only after every earlier request
+        of the block (see ``Client._begin_sync``).
+        """
+        self.counters.bump("pq_enqueues")
+        self.counters.bump("sync_roundtrips")
+
     def enqueue_query(self, request: Any) -> ResultBox:
         if request.result is None:
             request.result = ResultBox()
@@ -418,7 +434,16 @@ class ProcessPrivateQueue:
 
     def invoke(self, handle: Any, feature: Optional[str], args: tuple, kwargs: dict,
                fn: Optional[Callable[..., Any]] = None) -> Any:
-        """Run a client-executed query body on the (synced) remote handler."""
+        """Run a client-executed query body on the remote handler: one round trip."""
+        return self.wait_invoke(self.issue_invoke(handle, feature, args, kwargs, fn))
+
+    def issue_invoke(self, handle: Any, feature: Optional[str], args: tuple, kwargs: dict,
+                     fn: Optional[Callable[..., Any]] = None) -> Any:
+        """Feed and flush one ``invoke`` frame; returns the token to wait on.
+
+        Everything the block logged before is fed ahead of it, so the one
+        flush carries the whole burst (and any folded sync) to the worker.
+        """
         payload: Dict[str, Any] = {"kind": "invoke", "oid": self._oid_of(handle),
                                    "args": list(args), "kwargs": kwargs or {}}
         if feature:
@@ -427,10 +452,28 @@ class ProcessPrivateQueue:
             self._require_pickle("ship a callable query body")
             payload["fn"] = fn
         self._send(payload)
+        return None
+
+    def wait_invoke(self, token: Any = None) -> Any:
+        """Read the reply of an issued ``invoke``; re-raise a remote failure."""
         reply = self._recv_reply("invoke")
         if reply["kind"] == "error":
             raise self._reply_exception(reply)
         return reply.get("value")
+
+    async def wait_invoke_async(self, token: Any = None) -> Any:
+        # a thread client's queue: every wait on it blocks, this one too
+        return self.wait_invoke(token)
+
+    def abandon_invoke(self, token: Any = None) -> None:
+        """Drop an issued ``invoke`` whose reply nobody will wait for.
+
+        The reply still arrives on this connection, so it is discarded as
+        stale; counting it as seen keeps a failover replay's regenerated
+        copy discarded too.
+        """
+        self._replies_seen += 1
+        self._stale_replies += 1
 
     # -- bookkeeping ---------------------------------------------------------
     def reset_for_reuse(self) -> None:
@@ -652,13 +695,19 @@ class ProcessBackend(ThreadedBackend):
             if payload.get("kind") == "end":
                 entry["ended"] = True
 
-    def journal_for(self, handler_name: str, ticket: Optional[int]) -> List[Dict[str, Any]]:
-        """The frames already sent for one block, in send order."""
-        if ticket is None:
-            return []
+    def journal_for(self, handler_name: str,
+                    ticket: Optional[int]) -> Optional[List[Dict[str, Any]]]:
+        """The frames a reconnecting client replays for its block, in send order.
+
+        ``None`` when there is nothing to replay: no block, or one a
+        failover restore already pre-filed on the replacement worker (it
+        had ended) — replaying it again would run it twice.
+        """
         with self._journal_lock:
             entry = self._journal.get(handler_name, {}).get(ticket)
-            return list(entry["frames"]) if entry else []
+            if entry is None or entry.get("restored"):
+                return None
+            return list(entry["frames"])
 
     def worker_failed(self, dead: _WorkerProcess) -> None:
         """Re-pin a dead worker's handlers onto survivors (idempotent).
@@ -709,15 +758,17 @@ class ProcessBackend(ThreadedBackend):
         target.request({"op": "handler", "name": name})
         with self._journal_lock:
             snapshots = sorted(self._hosted.get(name, {}).items())
-            blocks = [(ticket, list(entry["frames"]))
-                      for ticket, entry in sorted(self._journal.get(name, {}).items())
-                      if entry["ended"]]
+            blocks = []
+            for ticket, entry in sorted(self._journal.get(name, {}).items()):
+                if entry["ended"]:
+                    entry["restored"] = True  # its client must not replay it too
+                    blocks.append((ticket, list(entry["frames"])))
         for oid, blob in snapshots:
             target.request({"op": "host", "handler": name, "oid": oid,
                             "obj": pickle.loads(blob)})
         # only *ended* blocks are pre-filed: an in-flight block is replayed
         # by its owning client over its reconnected queue, which alone knows
-        # whether more frames are coming
+        # whether more frames are coming (journal_for tells it which is which)
         if blocks:
             target.request({"op": "restore", "handler": name, "blocks": blocks})
 

@@ -103,7 +103,10 @@ class AsyncClient:
 
     async def sync(self, ref: SeparateRef) -> bool:
         """Awaitable sync round trip; ``False`` when coalescing elided it."""
-        request = self._client._begin_sync(ref)
+        return await self._sync(ref)
+
+    async def _sync(self, ref: SeparateRef, fold: bool = False) -> bool:
+        request = self._client._begin_sync(ref, fold)
         if request is None:
             return False
         await request.release.wait_async()
@@ -122,7 +125,7 @@ class AsyncClient:
         box = client._start_query(ref, fn, args, dict(kwargs), feature=method, described=True)
         if box is not None:
             return await box.wait_async()
-        await self.sync(ref)
+        await self._sync(ref, fold=True)
         return await client._execute_client_query_async(ref, fn, args, dict(kwargs),
                                                         feature=method)
 
@@ -150,7 +153,7 @@ class AsyncClient:
         box = client._start_query(ref, wrapped, args, dict(kwargs), feature=feature, raw_fn=fn)
         if box is not None:
             return await box.wait_async()
-        await self.sync(ref)
+        await self._sync(ref, fold=True)
         return await client._execute_client_query_async(ref, wrapped, args, dict(kwargs),
                                                         feature=feature, raw_fn=fn)
 

@@ -17,7 +17,9 @@ paper):
   original rule) or, with the client-executed-query optimization, send a
   SYNC marker, wait for the release and run the query body locally
   (Fig. 10b).  Dynamic sync coalescing (Section 3.4.1) skips the marker when
-  the handler is already parked on this client's queue.
+  the handler is already parked on this client's queue.  A private queue
+  whose handler lives in another process ships the body anyway, so there
+  the sync travels with it: one round trip per query, not two.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import operator
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.backends.base import ExecutionBackend
 from repro.backends.threaded import ThreadedBackend
@@ -85,7 +87,9 @@ class PendingQuery:
     result box; under client-executed queries it is the in-flight SYNC
     round trip (``None`` when dynamic coalescing elided it), after which the
     query body runs on the waiting side via the backend's
-    ``execute_synced_query`` placement hook.
+    ``execute_synced_query`` placement hook.  A queue that ships query
+    bodies (``ships_query_bodies``) sends the body's ``invoke`` frame at
+    issue time instead, so the pending state is that frame's reply.
 
     At most one query may be pending per handler, and each result may be
     waited for once — waiting is what restores the client's synchronous
@@ -97,12 +101,13 @@ class PendingQuery:
     """
 
     __slots__ = ("_client", "_ref", "_fn", "_args", "_kwargs", "_feature", "_box", "_sync",
-                 "_consumed")
+                 "_invoke", "_consumed")
 
     def __init__(self, client: "Client", ref: SeparateRef, fn: Callable[[Any], Any],
                  args: tuple, kwargs: dict, feature: str,
                  box: Optional[ResultBox] = None,
-                 sync_request: Optional[SyncRequest] = None) -> None:
+                 sync_request: Optional[SyncRequest] = None,
+                 invoke: Optional[Tuple[Any, Any]] = None) -> None:
         self._client = client
         self._ref = ref
         self._fn = fn
@@ -111,6 +116,8 @@ class PendingQuery:
         self._feature = feature
         self._box = box
         self._sync = sync_request
+        #: ``(queue, token)`` of a body shipped at issue time
+        self._invoke = invoke
         self._consumed = False
 
     def _consume(self) -> None:
@@ -122,11 +129,22 @@ class PendingQuery:
         if self._box is None:
             self._client._pending_queries.pop(self._ref.handler, None)
 
+    def _abandon(self) -> None:
+        """The block closes before the wait: the shipped body's reply is unwanted."""
+        if self._invoke is not None:
+            queue, token = self._invoke
+            queue.abandon_invoke(token)
+
     def wait(self) -> Any:
         """Block for (and return) the query's result."""
         self._consume()
         if self._box is not None:
             return self._box.wait()
+        if self._invoke is not None:
+            queue, token = self._invoke
+            result = queue.wait_invoke(token)
+            self._client._record_exec(self._ref, self._feature)
+            return result
         if self._sync is not None:
             self._sync.release.wait()
             self._client._finish_sync(self._ref)
@@ -138,6 +156,11 @@ class PendingQuery:
         self._consume()
         if self._box is not None:
             return await self._box.wait_async()
+        if self._invoke is not None:
+            queue, token = self._invoke
+            result = await queue.wait_invoke_async(token)
+            self._client._record_exec(self._ref, self._feature)
+            return result
         if self._sync is not None:
             await self._sync.release.wait_async()
             self._client._finish_sync(self._ref)
@@ -241,7 +264,9 @@ class Client:
                 )
             # a pending issued query dies with its block (the handler fired
             # the sync and will resume past it at the END marker)
-            self._pending_queries.pop(handler, None)
+            pending = self._pending_queries.pop(handler, None)
+            if pending is not None:
+                pending._abandon()
             reservation.private_queue.enqueue_end()
             self.backend.notify_handler(handler)
             self.tracer.record("release", handler.name, client=self.name,
@@ -338,7 +363,7 @@ class Client:
         box = self._start_query(ref, fn, args, dict(kwargs), feature=method, described=True)
         if box is not None:
             return box.wait()
-        self.sync(ref)
+        self._sync(ref, fold=True)
         return self._execute_client_query(ref, fn, args, dict(kwargs), feature=method)
 
     def issue_query(self, ref: SeparateRef, method: str, *args: Any, **kwargs: Any) -> PendingQuery:
@@ -355,11 +380,19 @@ class Client:
             # packaged query: the request is on the queue, FIFO keeps it
             # ordered against anything logged later — nothing to guard
             return PendingQuery(self, ref, fn, args, dict(kwargs), method, box=box)
+        request = self._begin_sync(ref, fold=True)
+        queue = self.queue_for(ref.handler)
+        invoke = None
+        if queue.ships_query_bodies:
+            # the body leaves now, so a scatter-gather overlaps the bodies
+            # themselves; only the reply wait is left to PendingQuery
+            invoke = (queue, queue.issue_invoke(ref._raw(), method, args, dict(kwargs)))
         pending = PendingQuery(self, ref, fn, args, dict(kwargs), method,
-                               sync_request=self._begin_sync(ref))
-        # client-executed query: between the SYNC and the wait the handler
-        # must stay parked on this queue, so further requests are rejected
-        # until the result is consumed (see _check_no_pending_query)
+                               sync_request=request, invoke=invoke)
+        # client-executed query: between the SYNC (or the shipped body) and
+        # the wait the handler must stay parked on this queue, so further
+        # requests are rejected until the result is consumed (see
+        # _check_no_pending_query)
         self._pending_queries[ref.handler] = pending
         return pending
 
@@ -371,7 +404,7 @@ class Client:
         box = self._start_query(ref, wrapped, args, dict(kwargs), feature=feature, raw_fn=fn)
         if box is not None:
             return box.wait()
-        self.sync(ref)
+        self._sync(ref, fold=True)
         return self._execute_client_query(ref, wrapped, args, dict(kwargs),
                                           feature=feature, raw_fn=fn)
 
@@ -383,8 +416,8 @@ class Client:
         Records the query and, under the *unoptimized* protocol, ships it
         packaged — returning the box the caller waits on (blocking or
         awaited).  Returns ``None`` under the client-executed protocol: the
-        caller must sync (again in its own wait style) and then run
-        :meth:`_execute_client_query`.
+        caller must sync (again in its own wait style, with ``fold=True``)
+        and then run :meth:`_execute_client_query`.
         """
         self._check_no_pending_query(ref.handler)
         self.counters.bump("queries")
@@ -402,8 +435,7 @@ class Client:
         result = self.backend.execute_synced_query(
             self, ref, fn, feature=feature if raw_fn is None else None,
             args=args, kwargs=kwargs, raw_fn=raw_fn)
-        self.tracer.record("exec-client", ref.handler.name, client=self.name,
-                           feature=feature, block=self.queue_for(ref.handler).block_id)
+        self._record_exec(ref, feature)
         return result
 
     async def _execute_client_query_async(self, ref: SeparateRef, fn: Callable[[Any], Any],
@@ -419,9 +451,12 @@ class Client:
         result = await self.backend.execute_synced_query_async(
             self, ref, fn, feature=feature if raw_fn is None else None,
             args=args, kwargs=kwargs, raw_fn=raw_fn)
+        self._record_exec(ref, feature)
+        return result
+
+    def _record_exec(self, ref: SeparateRef, feature: str) -> None:
         self.tracer.record("exec-client", ref.handler.name, client=self.name,
                            feature=feature, block=self.queue_for(ref.handler).block_id)
-        return result
 
     # -- pieces ----------------------------------------------------------
     def sync(self, ref: SeparateRef) -> bool:
@@ -430,20 +465,33 @@ class Client:
         Returns ``True`` if a sync round-trip was actually performed and
         ``False`` if it was elided by dynamic sync coalescing.
         """
-        request = self._begin_sync(ref)
+        return self._sync(ref)
+
+    def _sync(self, ref: SeparateRef, fold: bool = False) -> bool:
+        request = self._begin_sync(ref, fold)
         if request is None:
             return False
         request.release.wait()
         self._finish_sync(ref)
         return True
 
-    def _begin_sync(self, ref: SeparateRef) -> Optional[SyncRequest]:
+    def _begin_sync(self, ref: SeparateRef, fold: bool = False) -> Optional[SyncRequest]:
         """Send the SYNC marker (or elide it); the wait is left to the caller.
 
         The issue/wait split exists so the blocking client and the awaitable
         :class:`~repro.core.async_api.AsyncClient` share every protocol step
         — only *how* the release event is waited on differs.  Returns
         ``None`` when dynamic sync coalescing elided the round trip.
+
+        ``fold`` marks the sync before a client-executed query body.  On a
+        queue that ships query bodies across a socket it costs no frame:
+        the worker drains each block in FIFO order, inside ticket order, so
+        the body's ``invoke`` runs after every earlier request of the block
+        — exactly the state the round trip would wait for.  The sync is
+        counted as usual and the queue is marked synced (the body follows
+        at once on this same queue); ``None`` is returned.  Explicit syncs
+        never fold: their caller may be waiting for effects outside the
+        handler's objects.
         """
         handler = ref.handler
         self._check_no_pending_query(handler)
@@ -451,6 +499,10 @@ class Client:
         if self.config.dynamic_sync_coalescing and queue.synced:
             self.counters.bump("syncs_elided")
             self.tracer.record("sync-elided", handler.name, client=self.name, block=queue.block_id)
+            return None
+        if fold and queue.ships_query_bodies:
+            queue.fold_sync()
+            self._finish_sync(ref)
             return None
         request = queue.enqueue_sync(SyncRequest(release=self.backend.create_event()))
         self.backend.notify_handler(handler)

@@ -181,6 +181,10 @@ class PrivateQueue:
     __slots__ = ("handler", "counters", "_queue", "synced", "client_name",
                  "closed_by_client", "block_id", "_drain_waiter")
 
+    #: the handler shares this process's memory, so a client-executed query
+    #: body runs right here after a real sync (cf. the socket backends' queues)
+    ships_query_bodies = False
+
     def __init__(self, handler: Any = None, counters: Optional[Counters] = None) -> None:
         self.handler = handler
         self.counters = counters or Counters()

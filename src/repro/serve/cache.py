@@ -17,14 +17,16 @@ fix is an invalidation **epoch** per entity:
 
 Entries are keyed ``(entity, resource)`` — one entity owns several
 cacheable resources (``/cases/7`` and ``/cases/7/allegations``) and a
-write to the entity invalidates them all.  Thread-safe: the executor
-dispatch path touches it from worker threads.
+write to the entity invalidates them all.  An index from each entity to
+its cached resources makes that invalidation touch only the entity's own
+entries, never the whole cache.  Thread-safe: the executor dispatch path
+touches it from worker threads.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.util.counters import Counters
 
@@ -42,6 +44,8 @@ class ReadCache:
         self._lock = threading.Lock()
         self._epochs: Dict[str, int] = {}
         self._entries: Dict[Tuple[str, str], Tuple[int, Any]] = {}
+        #: entity -> the resources it has in ``_entries``
+        self._resources: Dict[str, Set[str]] = {}
 
     def begin_read(self, entity: str) -> int:
         """Snapshot the entity's invalidation epoch (call *before* the query)."""
@@ -57,7 +61,7 @@ class ReadCache:
                 return entry[1]
             if entry is not None:
                 # epoch moved since the entry was stored: stale, drop it
-                del self._entries[(entity, resource)]
+                self._drop(entity, resource)
             self.counters.bump("cache_misses")
             return MISS
 
@@ -75,8 +79,9 @@ class ReadCache:
                 # simple overflow valve: drop the oldest insertion; dict
                 # order is insertion order, good enough for a benchmark
                 # cache (hot keys re-populate on the next read)
-                self._entries.pop(next(iter(self._entries)))
+                self._drop(*next(iter(self._entries)))
             self._entries[(entity, resource)] = (epoch, value)
+            self._resources.setdefault(entity, set()).add(resource)
             return True
 
     def invalidate(self, entity: str) -> int:
@@ -84,11 +89,18 @@ class ReadCache:
         with self._lock:
             epoch = self._epochs.get(entity, 0) + 1
             self._epochs[entity] = epoch
-            dropped = [key for key in self._entries if key[0] == entity]
-            for key in dropped:
-                del self._entries[key]
+            for resource in self._resources.pop(entity, ()):
+                del self._entries[(entity, resource)]
             self.counters.bump("cache_invalidations")
             return epoch
+
+    def _drop(self, entity: str, resource: str) -> None:
+        """Remove one entry and its index mark (caller holds the lock)."""
+        del self._entries[(entity, resource)]
+        resources = self._resources[entity]
+        resources.discard(resource)
+        if not resources:
+            del self._resources[entity]
 
     def stats(self) -> Dict[str, int]:
         with self._lock:

@@ -149,6 +149,43 @@ def coalescing_workload(backend: str) -> dict:
     return {"values": values, "counters": counters}
 
 
+def calls_then_query_workload(backend: str,
+                              counters: tuple = PARITY_COUNTERS + ("pq_enqueues",)) -> dict:
+    """Calls, then queries, in one block.
+
+    On the socket backends this is the shape whose query sync travels with
+    the body: ``open``, the calls and the ``invoke`` leave in one burst.
+    The folded sync must still count exactly like a real one.  Backends
+    with coroutine clients run the same program as a coroutine, so the
+    hybrid's coroutine private queue is the copy measured.
+    """
+    with QsRuntime("all", backend=backend) as rt:
+        ref = rt.new_handler("counter").create(Counter)
+        values = []
+        if rt.backend.supports_async_clients:
+            async def client() -> None:
+                for n in range(1, 4):
+                    async with rt.aclient().separate(ref) as c:
+                        for _ in range(n):
+                            await c.increment()
+                        values.append((await c.read(), await c.read()))
+                        await c.increment()
+                        values.append(await c.read())
+
+            rt.aclient(client)
+            rt.join_clients()
+        else:
+            for n in range(1, 4):
+                with rt.separate(ref) as c:
+                    for _ in range(n):
+                        c.increment()
+                    values.append((c.read(), c.read()))
+                    c.increment()
+                    values.append(c.read())
+        counted = {name: rt.stats()[name] for name in counters}
+    return {"values": values, "counters": counted}
+
+
 # ----------------------------------------------------------------------------
 # per-backend correctness
 # ----------------------------------------------------------------------------
@@ -196,8 +233,8 @@ class TestEachBackend:
 # cross-backend parity
 # ----------------------------------------------------------------------------
 @pytest.mark.parametrize("workload", [bank_workload, philosophers_workload,
-                                      coalescing_workload],
-                         ids=["bank", "philosophers", "coalescing"])
+                                      coalescing_workload, calls_then_query_workload],
+                         ids=["bank", "philosophers", "coalescing", "calls-then-query"])
 def test_backends_agree(workload):
     results = {backend: workload(backend) for backend in BACKENDS}
     reference = results["threads"]
@@ -205,6 +242,18 @@ def test_backends_agree(workload):
         assert results[backend] == reference, (
             f"observable results and counters must not depend on the backend "
             f"({backend} vs threads)")
+
+
+def test_calls_then_query_wire_counters_match_across_socket_backends():
+    # who drives the socket (a blocking client thread or a coroutine and
+    # its reader task) must not change what crosses the wire
+    counters = PARITY_COUNTERS + ("pq_enqueues", "wire_frames_coalesced")
+    process = calls_then_query_workload("process:2", counters)
+    hybrid = calls_then_query_workload("process+async:2:2", counters)
+    assert hybrid == process
+    # per block of n calls: open, the calls and the first invoke share one
+    # sendall (n + 1 saved), then the last call and invoke another (1 saved)
+    assert process["counters"]["wire_frames_coalesced"] == sum(n + 2 for n in (1, 2, 3))
 
 
 #: backend spec variants that must stay observationally identical to their

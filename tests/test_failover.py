@@ -278,3 +278,83 @@ class TestHybridWorkerFailover:
                 rt.shutdown(check_failures=False)
             except (ScoopError, OSError):
                 pass  # fail-stop: the dead worker cannot answer the close
+
+
+def _socket_of(queue) -> object:
+    """The data socket under a blocking or a coroutine private queue."""
+    stream = queue._stream
+    if hasattr(stream, "sock"):
+        return stream.sock
+    return stream._writer.get_extra_info("socket")
+
+
+class TestFoldedQueryFailover:
+    """A query's sync travels with its ``invoke`` frame, so a worker that
+    dies between that frame's flush and the reply read is recovered by the
+    journal replay and the stale-reply discard alone: the query returns the
+    right value once, and the block's commands are applied once."""
+
+    @pytest.mark.parametrize("backend", ["process:1", "process+async:1:1"])
+    @pytest.mark.parametrize("moment", ["before-the-body-ran", "after-the-reply-left"])
+    def test_worker_killed_between_the_folded_invoke_and_its_reply(
+            self, backend, moment, monkeypatch):
+        import asyncio
+        import select
+
+        from repro.backends.hybrid import AsyncProcessPrivateQueue
+        from repro.backends.process import ProcessPrivateQueue
+
+        with QsRuntime("all", backend=backend) as rt:
+            rt.backend.reply_timeout = 30.0  # fail, do not hang, on a lost reply
+            ref = rt.new_handler("ledger").create(Ledger)
+            coroutines = rt.backend.supports_async_clients
+            queue_cls = AsyncProcessPrivateQueue if coroutines else ProcessPrivateQueue
+            issue = queue_cls.issue_invoke
+            armed, killed = [], []
+
+            def issue_then_kill(queue, *args, **kwargs):
+                if not armed or killed:
+                    return issue(queue, *args, **kwargs)
+                pid = rt.backend._assignment["ledger"].proc.pid
+                if moment == "before-the-body-ran":
+                    os.kill(pid, signal.SIGSTOP)  # the frames reach a frozen worker
+                token = issue(queue, *args, **kwargs)
+                if moment == "after-the-reply-left":
+                    select.select([_socket_of(queue)], [], [], 10.0)
+                killed.append(_kill_worker_of(rt.backend, "ledger"))
+                return token
+
+            monkeypatch.setattr(queue_cls, "issue_invoke", issue_then_kill)
+            dumps = []
+            if coroutines:
+                async def client() -> None:
+                    separate = rt.aclient().separate
+                    async with separate(ref) as led:  # connects the queue
+                        await led.record("k", 1)
+                        dumps.append(await led.dump())
+                    armed.append(True)
+                    async with separate(ref) as led:
+                        await led.record("k", 2)
+                        dumps.append(await asyncio.wait_for(led.dump(), 30))
+                    async with separate(ref) as led:
+                        dumps.append(await asyncio.wait_for(led.dump(), 30))
+                        await led.record("k", 3)
+                        dumps.append(await asyncio.wait_for(led.dump(), 30))
+
+                rt.aclient(client)
+                rt.join_clients()
+            else:
+                with rt.separate(ref) as led:  # connects the queue
+                    led.record("k", 1)
+                    dumps.append(led.dump())
+                armed.append(True)
+                with rt.separate(ref) as led:
+                    led.record("k", 2)
+                    dumps.append(led.dump())
+                with rt.separate(ref) as led:
+                    dumps.append(led.dump())
+                    led.record("k", 3)
+                    dumps.append(led.dump())
+            assert len(killed) == 1
+            assert dumps == [{"k": [1]}, {"k": [1, 2]}, {"k": [1, 2]}, {"k": [1, 2, 3]}]
+            assert rt.stats()["shard_failovers"] == 1

@@ -133,6 +133,54 @@ class TestReadCache:
             cache.store(f"e{i}", "/r", cache.begin_read(f"e{i}"), i)
         assert len(cache._entries) <= 2
 
+    @staticmethod
+    def _index_matches_entries(cache: ReadCache) -> bool:
+        indexed = {(entity, resource) for entity, resources in cache._resources.items()
+                   for resource in resources}
+        return indexed == set(cache._entries) and all(cache._resources.values())
+
+    def test_invalidating_a_case_drops_its_resources_and_nothing_else(self):
+        cache = ReadCache()
+        for entity in ("7", "8", "70"):
+            epoch = cache.begin_read(entity)
+            cache.store(entity, f"/cases/{entity}", epoch, "doc")
+            cache.store(entity, f"/cases/{entity}/allegations", epoch, "list")
+        cache.invalidate("7")
+        assert set(cache._entries) == {
+            ("8", "/cases/8"), ("8", "/cases/8/allegations"),
+            ("70", "/cases/70"), ("70", "/cases/70/allegations")}
+        assert "7" not in cache._resources
+        assert self._index_matches_entries(cache)
+        assert cache.stats()["entries"] == 4
+        # an entity with nothing cached still moves its epoch
+        assert cache.invalidate("9") == 1
+
+    def test_overflow_eviction_keeps_the_entity_index_consistent(self):
+        cache = ReadCache(max_entries=3)
+        for i in range(4):
+            epoch = cache.begin_read(f"e{i}")
+            cache.store(f"e{i}", "/doc", epoch, i)
+            cache.store(f"e{i}", "/list", epoch, i)
+            assert self._index_matches_entries(cache)
+        # the oldest insertions went first: only the newest three survive
+        assert list(cache._entries) == [("e2", "/list"), ("e3", "/doc"), ("e3", "/list")]
+        assert cache._resources == {"e2": {"/list"}, "e3": {"/doc", "/list"}}
+        cache.invalidate("e3")
+        assert list(cache._entries) == [("e2", "/list")]
+        assert self._index_matches_entries(cache)
+
+    def test_stale_lookup_drop_and_stale_store_keep_the_index_consistent(self):
+        cache = ReadCache()
+        epoch = cache.begin_read("e")
+        cache.store("e", "/a", epoch, "old")
+        with cache._lock:
+            cache._epochs["e"] = epoch + 1  # a write bumped it without dropping
+        assert cache.lookup("e", "/a") is MISS
+        assert cache._entries == {} and cache._resources == {}
+        # the racing read that snapshotted the old epoch still loses
+        assert cache.store("e", "/a", epoch, "stale") is False
+        assert cache._entries == {} and cache._resources == {}
+
 
 # ---------------------------------------------------------------------------
 # units: depth probe + admission
